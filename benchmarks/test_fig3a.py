@@ -4,13 +4,13 @@ Paper shape: SnapBPF outperforms REAP (no userspace-to-kernel copies via
 userfaultfd) and matches — in some cases outperforms — FaaSnap.
 """
 
-from repro.harness.figures import figure_3a
+from repro.harness.figures import build_figure
 from repro.harness.report import render_figure
 
 
 def test_fig3a(benchmark, cache, functions, record):
     data = benchmark.pedantic(
-        lambda: figure_3a(cache, functions=functions),
+        lambda: build_figure("3a", cache, functions=functions),
         rounds=1, iterations=1)
     record("fig3a", render_figure(data))
 

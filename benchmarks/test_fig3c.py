@@ -6,16 +6,16 @@ the vanilla page-cache restores) keep one shared copy.  Reduction is up
 to ~6x for the large-working-set functions (bfs, bert).
 """
 
-from repro.harness.figures import figure_3b, figure_3c
+from repro.harness.figures import build_figure
 from repro.harness.report import render_figure
 
 
 def test_fig3c(benchmark, cache, functions, record):
     # Shares every scenario run with Figure 3b (same experiment).
-    figure_3b(cache, functions=functions)
+    build_figure("3b", cache, functions=functions)
     before = len(cache)
     data = benchmark.pedantic(
-        lambda: figure_3c(cache, functions=functions),
+        lambda: build_figure("3c", cache, functions=functions),
         rounds=1, iterations=1)
     assert len(cache) == before, "3c must reuse 3b's runs"
     record("fig3c", render_figure(data))

@@ -7,11 +7,12 @@ Commands:
                                on watermark reclaim; --evict-policy
                                attaches a BPF eviction policy)
   table1                       regenerate the paper's Table 1
-  fig {3a,3b,3c,4,overheads,mem}
+  fig {3a,3b,3c,4,overheads,mem,cluster,traffic,storage}
                                regenerate one figure (or --all), sweeping
                                the scenario matrix across --jobs workers;
                                "mem" is the memory-pressure elasticity
-                               figure
+                               figure; the last three are the figures
+                               of the commands below at their defaults
   chaos FN [APPROACH ...]      serve a request train under a seeded fault
                                schedule; report degradation counters
   trace FN APPROACH            run one scenario with span tracing on and
@@ -63,7 +64,7 @@ reports permanently-failed cells in a failure manifest
 chaos knobs SIGKILL workers, hang cells past their deadline, and tear
 store writes to prove all of the above works.
 
-The same four commands also share the serve flags: ``--serve``
+The same seven commands also share the serve flags: ``--serve``
 self-hosts the control-room dashboard (``/``), the Prometheus scrape
 endpoint (``/metrics``), and the SSE stream (``/api/events``) for the
 duration of the run; ``--serve-state PATH`` atomically publishes each
@@ -90,7 +91,7 @@ Examples:
   python -m repro traffic json snapbpf --rps 500 --duration 30
   python -m repro storage --jobs 4 --cache-dir .sweep-cache
   python -m repro storage json snapbpf --tiers local,remote --quick
-  python -m repro bench --quick --compare BENCH_9.json
+  python -m repro bench --quick --compare BENCH_10.json
   python -m repro fig --all --serve --serve-port 8040
   python -m repro fig --all --serve-state /tmp/repro-state.json &
   python -m repro serve --attach /tmp/repro-state.json --port 8040
@@ -268,6 +269,60 @@ def cmd_table1(_args) -> int:
     return 0
 
 
+def _figures(args, names, functions=None, summary=False, axes=None,
+             **settings) -> int:
+    """The one figure path behind ``fig`` and the cluster/traffic/storage
+    figure commands.  ``axes`` maps axis names to comma-separated flag
+    values; ``settings`` go to the cell builders.  Every cell spec is
+    built (and so validated) before any work starts; the plane commands
+    add their per-cell ``summary`` block under the figure."""
+    try:
+        axes = {name: F.FIGURE_MATRIX[names[0]].axis(name).parse(text)
+                for name, text in (axes or {}).items()}
+        specs = F.matrix_specs(names, functions, **axes, **settings)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    opts = SweepOptions.from_args(args)
+    cache = ResultCache(store=opts.make_store())
+    serving = _ServeContext(opts)
+    serving.attach_cache(cache)
+    runner = opts.make_runner(cache, telemetry=serving.hub)
+    try:
+        _sweep(runner, specs, opts)
+        if runner.last_manifest:
+            print(f"warning: {len(runner.last_manifest)} cell(s) "
+                  f"quarantined; figures will re-attempt them inline",
+                  file=sys.stderr)
+        for name in names:
+            print(render_figure(F.build_figure(name, cache, functions,
+                                               **axes, **settings)))
+            if summary:
+                for line in F.FIGURE_MATRIX[name].summarize(
+                        cache, functions, **axes, **settings):
+                    print(line)
+    finally:
+        serving.finish()
+    print(runner.last_stats.summary(), file=sys.stderr)
+    return 0
+
+
+def _plane(args, name, axes, **settings) -> int:
+    """A plane command's figure: one base function, optionally one
+    approach, the record's ``--quick`` workload, and the summary."""
+    if getattr(args, "quick", False):
+        settings = {**F.FIGURE_MATRIX[name].quick, **settings}
+    if args.approach:
+        settings["approaches"] = [args.approach]
+    return _figures(args, [name], [args.function], summary=True, axes=axes,
+                    **settings)
+
+
+def _axis_flag(figure: str, axis: str) -> str:
+    """An axis flag's default: the figure record's values, comma-joined."""
+    return ",".join(map(str, F.FIGURE_MATRIX[figure].axis(axis).values))
+
+
 def cmd_fig(args) -> int:
     if args.all:
         figures = list(F.FIGURES)
@@ -277,24 +332,7 @@ def cmd_fig(args) -> int:
         print("error: name a figure or pass --all", file=sys.stderr)
         return 2
     functions = args.functions.split(",") if args.functions else None
-    opts = SweepOptions.from_args(args)
-    cache = ResultCache(store=opts.make_store())
-    serving = _ServeContext(opts)
-    serving.attach_cache(cache)
-    runner = opts.make_runner(cache, telemetry=serving.hub)
-    try:
-        _sweep(runner, F.matrix_specs(figures, functions), opts)
-        if runner.last_manifest:
-            print(f"warning: {len(runner.last_manifest)} cell(s) "
-                  f"quarantined; figures will re-attempt them inline",
-                  file=sys.stderr)
-        for figure in figures:
-            print(render_figure(F.build_figure(figure, cache,
-                                               functions=functions)))
-    finally:
-        serving.finish()
-    print(runner.last_stats.summary(), file=sys.stderr)
-    return 0
+    return _figures(args, figures, functions)
 
 
 def cmd_chaos(args) -> int:
@@ -389,48 +427,22 @@ def cmd_trace(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    cluster_kwargs = dict(
+        n_functions=args.cluster_functions,
+        rate_per_function=args.rate, duration=args.duration,
+        warm_pool_ttl=args.warm_ttl)
+    if args.fig:
+        return _plane(args, "cluster", {"policy": args.policies,
+                                        "n_nodes": args.node_counts},
+                      **cluster_kwargs)
+
     try:
         profile = profile_by_name(args.function)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    from repro.cluster import ROUTING_POLICIES, ClusterSpec
+    from repro.cluster import ClusterSpec
     from repro.cluster.runner import run_cluster
-
-    cluster_kwargs = dict(
-        n_functions=args.cluster_functions,
-        rate_per_function=args.rate, duration=args.duration,
-        warm_pool_ttl=args.warm_ttl)
-
-    if args.fig:
-        policies = args.policies.split(",")
-        for policy in policies:
-            if policy not in ROUTING_POLICIES:
-                print(f"error: unknown routing policy {policy!r}; choose "
-                      f"from {sorted(ROUTING_POLICIES)}", file=sys.stderr)
-                return 2
-        node_counts = [int(n) for n in args.node_counts.split(",")]
-        approaches = ([args.approach] if args.approach
-                      else list(F.FIGURE_MATRIX["cluster"][0]))
-        opts = SweepOptions.from_args(args)
-        cache = ResultCache(store=opts.make_store())
-        serving = _ServeContext(opts)
-        serving.attach_cache(cache)
-        runner = opts.make_runner(cache, telemetry=serving.hub)
-        try:
-            _sweep(runner, [F.cluster_cell_spec(profile, a, policy, n,
-                                                **cluster_kwargs)
-                            for a in approaches for policy in policies
-                            for n in node_counts], opts)
-            data = F.cluster_figure_data(cache, [profile], approaches,
-                                         policies=policies,
-                                         node_counts=node_counts,
-                                         **cluster_kwargs)
-            print(render_figure(data))
-        finally:
-            serving.finish()
-        print(runner.last_stats.summary(), file=sys.stderr)
-        return 0
 
     try:
         cspec = ClusterSpec(
@@ -489,158 +501,39 @@ def cmd_traffic(args) -> int:
     """Sweep the production-traffic figure (restore approaches x
     keep-alive policies under Zipf/diurnal/burst multi-tenant load) and
     print the figure plus the per-tenant SLO table."""
-    try:
-        profile = profile_by_name(args.function)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    from repro.cluster.keepalive import KEEPALIVE_POLICIES
-
-    keepalives = args.keepalives.split(",")
-    for name in keepalives:
-        if name not in KEEPALIVE_POLICIES:
-            print(f"error: unknown keep-alive policy {name!r}; choose "
-                  f"from {list(KEEPALIVE_POLICIES)}", file=sys.stderr)
-            return 2
-    approaches = ([args.approach] if args.approach
-                  else list(F.FIGURE_MATRIX["traffic"][0]))
-    traffic = F.default_traffic_spec(quick=args.quick)
     overrides = {key: value for key, value in (
         ("n_functions", args.traffic_functions),
         ("n_tenants", args.tenants),
         ("total_rps", args.rps),
         ("duration", args.duration),
         ("seed", args.traffic_seed)) if value is not None}
+    settings = {key: value for key, value in (
+        ("n_nodes", args.nodes),
+        ("overflow_inflight", args.slots)) if value is not None}
     try:
         if overrides:
-            traffic = dataclasses.replace(traffic, **overrides)
+            settings["traffic"] = dataclasses.replace(
+                F.TRAFFIC_WORKLOADS[args.quick]["traffic"], **overrides)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cluster_kwargs = dict(F.traffic_cluster_kwargs(quick=args.quick))
-    if args.nodes is not None:
-        cluster_kwargs["n_nodes"] = args.nodes
-    if args.slots is not None:
-        cluster_kwargs["overflow_inflight"] = args.slots
-
-    opts = SweepOptions.from_args(args)
-    cache = ResultCache(store=opts.make_store())
-    serving = _ServeContext(opts)
-    serving.attach_cache(cache)
-    runner = opts.make_runner(cache, telemetry=serving.hub)
-    try:
-        specs = [F.traffic_cell_spec(profile, a, keepalive,
-                                     traffic=traffic, **cluster_kwargs)
-                 for a in approaches for keepalive in keepalives]
-        _sweep(runner, specs, opts)
-        data = F.traffic_figure_data(cache, [profile], approaches,
-                                     keepalives=keepalives,
-                                     traffic=traffic, **cluster_kwargs)
-        print(render_figure(data))
-        # Per-tenant SLO table straight from the flattened extras.
-        for approach in approaches:
-            for keepalive in keepalives:
-                result = cache.get(F.traffic_cell_spec(
-                    profile, approach, keepalive, traffic=traffic,
-                    **cluster_kwargs))
-                print(f"{profile.name}/{approach} [{keepalive}]: "
-                      f"{result.extra['traffic_invocations']:.0f} "
-                      f"invocations, cold ratio "
-                      f"{result.extra['traffic_cold_ratio']:.4f}, "
-                      f"p99.9 E2E "
-                      f"{result.extra['traffic_p999_e2e'] * 1e3:.1f} ms")
-                print("  tenant   requests  cold-ratio   p99 e2e "
-                      "p99.9 e2e  p99 cold")
-                for tenant in range(traffic.n_tenants):
-                    row = {key: result.extra[f"slo_t{tenant}_{key}"]
-                           for key in ("requests", "cold_ratio",
-                                       "p99_e2e", "p999_e2e",
-                                       "p99_cold")}
-                    print(f"  t{tenant:<7d} {row['requests']:8.0f}  "
-                          f"{row['cold_ratio']:10.4f} "
-                          f"{row['p99_e2e'] * 1e3:8.1f}ms "
-                          f"{row['p999_e2e'] * 1e3:8.1f}ms "
-                          f"{row['p99_cold'] * 1e3:8.1f}ms")
-    finally:
-        serving.finish()
-    print(runner.last_stats.summary(), file=sys.stderr)
-    return 0
+    return _plane(args, "traffic", {"keepalive": args.keepalives},
+                  **settings)
 
 
 def cmd_storage(args) -> int:
     """Sweep the snapshot-tiering figure (tier configurations x routing
     policies through the cluster plane) and print it, followed by a
     per-cell dedup/tier-bytes summary."""
-    try:
-        profile = profile_by_name(args.function)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    from repro.cluster import ROUTING_POLICIES
-
-    tiers = args.tiers.split(",")
-    for name in tiers:
-        if name not in F.STORAGE_TIERS:
-            print(f"error: unknown tier config {name!r}; choose from "
-                  f"{list(F.STORAGE_TIERS)}", file=sys.stderr)
-            return 2
-    policies = args.policies.split(",")
-    for name in policies:
-        if name not in ROUTING_POLICIES:
-            print(f"error: unknown routing policy {name!r}; choose "
-                  f"from {sorted(ROUTING_POLICIES)}", file=sys.stderr)
-            return 2
-    approaches = ([args.approach] if args.approach
-                  else list(F.FIGURE_MATRIX["storage"][0]))
-    cluster_kwargs = dict(F.storage_cluster_kwargs(quick=args.quick))
-    n_nodes = args.nodes if args.nodes is not None else (
-        2 if args.quick else F.STORAGE_NODE_COUNT)
-
-    opts = SweepOptions.from_args(args)
-    cache = ResultCache(store=opts.make_store())
-    serving = _ServeContext(opts)
-    serving.attach_cache(cache)
-    runner = opts.make_runner(cache, telemetry=serving.hub)
-    try:
-        specs = [F.storage_cell_spec(profile, a, tier, policy,
-                                     n_nodes=n_nodes, **cluster_kwargs)
-                 for a in approaches for tier in tiers
-                 for policy in policies]
-        _sweep(runner, specs, opts)
-        data = F.storage_figure_data(cache, [profile], approaches,
-                                     tiers=tiers, policies=policies,
-                                     n_nodes=n_nodes, **cluster_kwargs)
-        print(render_figure(data))
-        # Per-cell summary straight from the flattened extras.
-        for approach in approaches:
-            for tier in tiers:
-                for policy in policies:
-                    result = cache.get(F.storage_cell_spec(
-                        profile, approach, tier, policy,
-                        n_nodes=n_nodes, **cluster_kwargs))
-                    dedup = result.extra.get("snapstore_dedup_factor")
-                    if dedup is None:
-                        print(f"{profile.name}/{approach} [{tier} "
-                              f"{policy}]: flat files (no snapstore)")
-                        continue
-                    fetched = result.extra.get(
-                        "snapstore_remote_fetch_bytes", 0.0)
-                    print(f"{profile.name}/{approach} [{tier} {policy}]: "
-                          f"dedup {dedup:.2f}x, unique "
-                          f"{result.extra['snapstore_unique_bytes'] / MIB:.0f}"
-                          f" MiB, local "
-                          f"{result.extra['snapstore_local_bytes'] / MIB:.0f}"
-                          f" MiB, remote fetched {fetched / MIB:.0f} MiB")
-    finally:
-        serving.finish()
-    print(runner.last_stats.summary(), file=sys.stderr)
-    return 0
+    settings = {} if args.nodes is None else {"n_nodes": args.nodes}
+    return _plane(args, "storage", {"tier": args.tiers,
+                                    "policy": args.policies}, **settings)
 
 
 def cmd_bench(args) -> int:
     """Run the perf-trajectory harness and optionally gate on the
     committed ``BENCH_*.json`` baseline (CI smoke: ``bench --quick
-    --compare BENCH_8.json``)."""
+    --compare BENCH_10.json``)."""
     from repro.harness import bench as B
 
     opts = SweepOptions.from_args(args)
@@ -708,8 +601,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro", description="SnapBPF reproduction harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Sweep flags shared by run/fig/chaos/cluster (same semantics
-    # everywhere).
+    # Sweep flags shared by run/fig/chaos/cluster/traffic/storage/bench
+    # (same semantics everywhere).
     sweep_flags = argparse.ArgumentParser(add_help=False)
     sweep_flags.add_argument(
         "-j", "--jobs", type=int, default=1,
@@ -754,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep_flags.add_argument(
         "--sweep-fault-seed", type=int, default=0,
         help="seed for the --sweep-*-rate chaos draws")
-    # Serve flags ride along on the same four commands.
+    # Serve flags ride along on the same seven commands.
     sweep_flags.add_argument(
         "--serve", action="store_true",
         help="self-host the live control-room dashboard, /metrics "
@@ -861,10 +754,10 @@ def main(argv: list[str] | None = None) -> int:
     cluster_parser.add_argument("--nodes", type=int, default=2,
                                 help="fleet size for a single run")
     cluster_parser.add_argument(
-        "--policies", default="random,round-robin,least-loaded,"
-                              "snapshot-locality",
+        "--policies", default=_axis_flag("cluster", "policy"),
         help="comma-separated policies for --fig")
-    cluster_parser.add_argument("--node-counts", default="2,4",
+    cluster_parser.add_argument("--node-counts",
+                                default=_axis_flag("cluster", "n_nodes"),
                                 help="comma-separated fleet sizes for --fig")
     cluster_parser.add_argument("--cluster-functions", type=int, default=4,
                                 metavar="N",
@@ -901,7 +794,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(approach_registry()),
         help="restore approach (default: all four figure columns)")
     traffic_parser.add_argument(
-        "--keepalives", default="fixed,histogram",
+        "--keepalives", default=_axis_flag("traffic", "keepalive"),
         help="comma-separated keep-alive policies to compare")
     traffic_parser.add_argument(
         "--quick", action="store_true",
@@ -936,10 +829,10 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(approach_registry()),
         help="restore approach (default: all figure columns)")
     storage_parser.add_argument(
-        "--tiers", default=",".join(F.STORAGE_TIERS),
+        "--tiers", default=_axis_flag("storage", "tier"),
         help="comma-separated tier configs to compare (default: all)")
     storage_parser.add_argument(
-        "--policies", default=",".join(F.STORAGE_POLICIES),
+        "--policies", default=_axis_flag("storage", "policy"),
         help="comma-separated routing policies to compare")
     storage_parser.add_argument(
         "--nodes", type=int, default=None,

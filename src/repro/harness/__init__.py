@@ -16,13 +16,8 @@ from repro.harness.figures import (
     FIGURES,
     FigureData,
     build_figure,
-    figure_3a,
-    figure_3b,
-    figure_3c,
-    figure_4,
     figure_specs,
     matrix_specs,
-    overheads,
     table_1,
 )
 from repro.harness.report import render_figure, render_table, render_table1
@@ -51,15 +46,10 @@ __all__ = [
     "build_figure",
     "chaos_key",
     "execute_spec",
-    "figure_3a",
-    "figure_3b",
-    "figure_3c",
-    "figure_4",
     "figure_specs",
     "fixed_interval_arrivals",
     "make_kernel",
     "matrix_specs",
-    "overheads",
     "parallel_map",
     "render_chaos",
     "render_figure",

@@ -1,15 +1,21 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
-Each builder returns a :class:`FigureData`: ordered function names,
-series (one per approach), and the values the paper plots.  A shared
-:class:`~repro.harness.experiment.ResultCache` lets Figure 3b and 3c
-reuse the same concurrent runs, exactly as the paper measures latency
-and memory from one experiment.
+Each figure is one :class:`Figure` record in :data:`FIGURE_MATRIX`: the
+approaches it compares, the axes it sweeps, the builder that turns one
+cell into a :class:`~repro.harness.spec.ScenarioSpec`, and the values it
+reads from each result.  :func:`figure_specs` enumerates a figure's
+cells for a parallel sweep and :func:`build_figure` reads the very same
+cells back into a :class:`FigureData`, so the two can never disagree.
+A shared :class:`~repro.harness.experiment.ResultCache` lets Figure 3b
+and 3c reuse the same concurrent runs, exactly as the paper measures
+latency and memory from one experiment.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.baselines.base import approach_registry
 from repro.cluster.spec import ClusterSpec
@@ -27,36 +33,6 @@ import repro.core  # noqa: F401
 #: Number of concurrent instances in the Figure 3b/3c experiments.
 CONCURRENT_INSTANCES = 10
 
-#: The scenario matrix behind each figure: (approaches, n_instances).
-#: The builders below iterate these same tuples, so enumerating a
-#: figure's specs (for a parallel sweep) and building it can never
-#: disagree about which cells exist.
-FIGURE_MATRIX: dict[str, tuple[tuple[str, ...], int]] = {
-    "3a": (("reap", "faasnap", "snapbpf"), 1),
-    "3b": (("linux-nora", "linux-ra", "reap", "snapbpf"),
-           CONCURRENT_INSTANCES),
-    "3c": (("linux-nora", "linux-ra", "reap", "snapbpf"),
-           CONCURRENT_INSTANCES),
-    "4": (("linux-ra", "pv-ptes", "snapbpf"), 1),
-    "overheads": (("snapbpf",), 1),
-    "mem": (("linux-ra", "reap", "snapbpf"), CONCURRENT_INSTANCES),
-    "cluster": (("linux-ra", "reap", "faasnap", "snapbpf"), 1),
-    "traffic": (("linux-ra", "reap", "faasnap", "snapbpf"), 1),
-    "storage": (("linux-ra", "reap", "snapbpf"), 1),
-}
-
-FIGURES: tuple[str, ...] = tuple(FIGURE_MATRIX)
-
-#: The cluster figure's sweep axes: routing policy x fleet size.
-CLUSTER_POLICIES = ("random", "round-robin", "least-loaded",
-                    "snapshot-locality")
-CLUSTER_NODE_COUNTS = (2, 4)
-
-#: The cluster figure defaults to ONE base function (its cells are whole
-#: fleet simulations — 13 base functions x 32 cells would dwarf every
-#: other figure combined); pass ``functions=...`` to widen it.
-CLUSTER_BASE_FUNCTIONS = ("json",)
-
 
 def cluster_cell_spec(profile: FunctionProfile, approach: str,
                       policy: str, n_nodes: int,
@@ -68,34 +44,21 @@ def cluster_cell_spec(profile: FunctionProfile, approach: str,
                             **cluster_kwargs))
 
 
-#: The traffic figure's keep-alive axis.
-TRAFFIC_KEEPALIVES = ("fixed", "histogram")
-
-#: Metrics plotted per (keep-alive, metric) row of the traffic figure:
-#: ScenarioResult.extra key and a display label.
-TRAFFIC_METRICS = (("traffic_cold_ratio", "cold-ratio"),
-                   ("traffic_p999_e2e", "p99.9-e2e"))
-
-
-def default_traffic_spec(quick: bool = False) -> TrafficSpec:
-    """The committed traffic-figure workload: 10k functions, ~1.3M total
-    invocations across the 4 approaches x 2 keep-alive cells (quick:
-    a CI-sized shrink of the same shape)."""
-    if quick:
-        return TrafficSpec(n_functions=400, n_tenants=4, total_rps=80.0,
-                           duration=10.0, diurnal_period=8.0, n_bursts=2,
-                           burst_multiplier=3.0, burst_duration=2.0)
-    return TrafficSpec(n_functions=10_000, n_tenants=8, total_rps=2500.0,
-                       duration=60.0, diurnal_period=40.0, n_bursts=6,
-                       burst_multiplier=3.0, burst_duration=5.0)
-
-
-def traffic_cluster_kwargs(quick: bool = False) -> dict:
-    """Fleet shape for one traffic cell (slots sized so the slowest
-    approach, linux-ra cold starts, fits below capacity outside bursts)."""
-    if quick:
-        return {"n_nodes": 3, "overflow_inflight": 8}
-    return {"n_nodes": 48, "overflow_inflight": 32}
+#: The committed traffic-figure workload and fleet shape: 10k
+#: functions, ~1.3M total invocations across the 4 approaches x 2
+#: keep-alive cells, slots sized so the slowest approach, linux-ra cold
+#: starts, fits below capacity outside bursts.  Keyed by ``quick``: the
+#: ``True`` entry is a CI-sized shrink of the same shape.
+TRAFFIC_WORKLOADS: dict[bool, dict] = {
+    False: dict(traffic=TrafficSpec(
+        n_functions=10_000, n_tenants=8, total_rps=2500.0, duration=60.0,
+        diurnal_period=40.0, n_bursts=6, burst_multiplier=3.0,
+        burst_duration=5.0), n_nodes=48, overflow_inflight=32),
+    True: dict(traffic=TrafficSpec(
+        n_functions=400, n_tenants=4, total_rps=80.0, duration=10.0,
+        diurnal_period=8.0, n_bursts=2, burst_multiplier=3.0,
+        burst_duration=2.0), n_nodes=3, overflow_inflight=8),
+}
 
 
 def traffic_cell_spec(profile: FunctionProfile, approach: str,
@@ -104,12 +67,12 @@ def traffic_cell_spec(profile: FunctionProfile, approach: str,
                       quick: bool = False,
                       **cluster_kwargs) -> ScenarioSpec:
     """The canonical spec for one traffic-figure cell."""
-    kwargs = {**traffic_cluster_kwargs(quick), **cluster_kwargs}
+    kwargs = {**TRAFFIC_WORKLOADS[quick], **cluster_kwargs}
+    if traffic is not None:
+        kwargs["traffic"] = traffic
     return ScenarioSpec(
         function=profile, approach=approach,
-        cluster=ClusterSpec(
-            keepalive=keepalive,
-            traffic=traffic or default_traffic_spec(quick), **kwargs))
+        cluster=ClusterSpec(keepalive=keepalive, **kwargs))
 
 #: The storage figure's tier axis: snapstore configurations swept
 #: against the flat-file baseline.  ``local`` is the identity
@@ -124,30 +87,7 @@ STORAGE_TIERS: dict[str, SnapStoreSpec | None] = {
     "remote": SnapStoreSpec(placement="remote"),
 }
 
-#: The storage figure's routing axis: the locality-vs-random margin is
-#: the point (a locality miss now costs real staged remote fetches).
-STORAGE_POLICIES = ("random", "snapshot-locality")
-
 STORAGE_NODE_COUNT = 4
-
-#: Metrics reported per (tier, policy) row of the storage figure:
-#: ScenarioResult.extra key, display label, and scale factor.
-STORAGE_METRICS = (
-    ("cluster_cold_ratio", "cold-ratio", 1.0),
-    ("cluster_p99_latency", "p99-e2e", 1.0),
-    ("snapstore_dedup_factor", "dedup", 1.0),
-    ("snapstore_local_bytes", "local-GiB", 1.0 / GIB),
-    ("snapstore_hdd_bytes", "hdd-GiB", 1.0 / GIB),
-    ("snapstore_remote_bytes", "remote-GiB", 1.0 / GIB),
-)
-
-
-def storage_cluster_kwargs(quick: bool = False) -> dict:
-    """Cluster workload shared by the storage figure and the CLI's
-    ``storage`` command; ``quick`` shrinks it to CI smoke size."""
-    if quick:
-        return dict(n_functions=2, duration=3.0)
-    return {}
 
 
 def storage_cell_spec(profile: FunctionProfile, approach: str,
@@ -155,6 +95,9 @@ def storage_cell_spec(profile: FunctionProfile, approach: str,
                       n_nodes: int = STORAGE_NODE_COUNT,
                       **cluster_kwargs) -> ScenarioSpec:
     """The canonical spec for one storage-figure cell."""
+    if tier not in STORAGE_TIERS:
+        raise ValueError(f"unknown tier config {tier!r}; choose from "
+                         f"{list(STORAGE_TIERS)}")
     return ScenarioSpec(
         function=profile, approach=approach,
         snapstore=STORAGE_TIERS[tier],
@@ -203,44 +146,15 @@ def pressure_ram_bytes(profile: FunctionProfile, approach: str,
             + slack) * PAGE_SIZE
 
 
-def figure_specs(figure: str, functions=None) -> list[ScenarioSpec]:
-    """Every scenario cell one figure needs, as sweepable specs."""
-    approaches, n_instances = FIGURE_MATRIX[figure]
-    if figure == "cluster":
-        return [cluster_cell_spec(p, a, policy, n_nodes)
-                for p in _cluster_profiles(functions) for a in approaches
-                for policy in CLUSTER_POLICIES
-                for n_nodes in CLUSTER_NODE_COUNTS]
-    if figure == "traffic":
-        return [traffic_cell_spec(p, a, keepalive)
-                for p in _cluster_profiles(functions) for a in approaches
-                for keepalive in TRAFFIC_KEEPALIVES]
-    if figure == "storage":
-        return [storage_cell_spec(p, a, tier, policy)
-                for p in _cluster_profiles(functions) for a in approaches
-                for tier in STORAGE_TIERS for policy in STORAGE_POLICIES]
-    if figure == "mem":
-        return [
-            ScenarioSpec(
-                function=p, approach=a, n_instances=n_instances,
-                ram_bytes=pressure_ram_bytes(p, a, n_instances, g))
-            for p in _profiles(functions) for a in approaches
-            for g in MEM_HEADROOMS]
-    return [ScenarioSpec(function=p, approach=a, n_instances=n_instances)
-            for p in _profiles(functions) for a in approaches]
-
-
-def matrix_specs(figures=None, functions=None) -> list[ScenarioSpec]:
-    """The union of several figures' cells, deduplicated in first-seen
-    order (3b and 3c share every run, 3a and 4 share snapbpf x1)."""
-    specs: list[ScenarioSpec] = []
-    seen: set[ScenarioSpec] = set()
-    for figure in (figures if figures is not None else FIGURES):
-        for spec in figure_specs(figure, functions):
-            if spec not in seen:
-                seen.add(spec)
-                specs.append(spec)
-    return specs
+def host_cell_spec(profile: FunctionProfile, approach: str,
+                   n_instances: int = 1,
+                   headroom: float | None = None) -> ScenarioSpec:
+    """The canonical spec for one single-host cell; ``headroom`` sizes a
+    pressured frame pool with :func:`pressure_ram_bytes`."""
+    ram_bytes = (None if headroom is None else
+                 pressure_ram_bytes(profile, approach, n_instances, headroom))
+    return ScenarioSpec(function=profile, approach=approach,
+                        n_instances=n_instances, ram_bytes=ram_bytes)
 
 
 @dataclass
@@ -265,293 +179,329 @@ class FigureData:
         return rows
 
 
+@dataclass(frozen=True)
+class Axis:
+    """One swept axis beyond function x approach: the cell-builder
+    keyword it feeds, its default values, and its label format."""
+
+    name: str
+    values: tuple
+    label: str = "{}"
+    #: The label names the series instead of the row.
+    column: bool = False
+
+    def parse(self, text: str) -> tuple:
+        """Comma-separated values, typed like the defaults."""
+        kind = type(self.values[0])
+        try:
+            return tuple(kind(value) for value in text.split(","))
+        except ValueError:
+            raise ValueError(f"{self.name} takes comma-separated "
+                             f"{kind.__name__} values, got {text!r}") from None
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One value read from each cell: ``read(spec, result)``."""
+
+    read: Callable
+    label: str = ""
+
+
+def _extra(key: str, label: str = "", scale: float = 1.0) -> Metric:
+    """A ``ScenarioResult.extra`` value; 0.0 where a cell does not
+    report it (flat-file cells carry no snapstore keys)."""
+    return Metric(lambda _spec, result: result.extra.get(key, 0.0) * scale,
+                  label)
+
+
+class Cell(NamedTuple):
+    """One scenario cell of a figure; ``index`` is the profile's
+    position, so a repeated function keeps its own rows."""
+
+    index: int
+    profile: FunctionProfile
+    approach: str
+    values: tuple
+    spec: ScenarioSpec
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure: the cells it runs and the values it plots.
+
+    Cells are every function x approach x axis value, built by
+    ``cell(profile, approach, **axis values, **settings)``.  Rows are
+    functions x row axes (x metrics when there are several); series are
+    approaches x column axes, or the metrics with ``metric_series``.
+    """
+
+    approaches: tuple[str, ...]
+    ylabel: str
+    metrics: tuple[Metric, ...]
+    cell: Callable[..., ScenarioSpec] = host_cell_spec
+    #: Builder keywords every cell gets, e.g. ``n_instances``; a plane
+    #: command's flags add to and override them.
+    settings: dict = field(default_factory=dict)
+    axes: tuple[Axis, ...] = ()
+    #: Every series is divided, row by row, by this approach's series.
+    normalize: str | None = None
+    notes: str = ""
+    #: Default base functions (``None``: all of :data:`FUNCTIONS`).
+    functions: tuple[str, ...] | None = None
+    #: The metrics, not the approaches, name the series.
+    metric_series: bool = False
+    approach_label: Callable[[str], str] = str
+    #: Builder keywords of the plane command's ``--quick`` workload.
+    quick: dict = field(default_factory=dict)
+    #: ``summary(spec, result)``: the text after ``fn/approach [axis
+    #: values]: `` in the plane command's per-cell summary block.
+    summary: Callable | None = None
+
+    def axis(self, name: str) -> Axis:
+        return next(axis for axis in self.axes if axis.name == name)
+
+    def cells(self, functions=None, approaches=None, **axes) -> list[Cell]:
+        """Every cell in sweep order.  A keyword naming an axis replaces
+        its values; any other keyword goes to the cell builder."""
+        values = [axes.pop(axis.name, axis.values) for axis in self.axes]
+        names = [axis.name for axis in self.axes]
+        settings = {**self.settings, **axes}
+        profiles = _profiles(self.functions if functions is None
+                             else functions)
+        return [Cell(i, profile, approach, combo,
+                     self.cell(profile, approach, **dict(zip(names, combo)),
+                               **settings))
+                for i, profile in enumerate(profiles)
+                for approach in (approaches or self.approaches)
+                for combo in itertools.product(*values)]
+
+    def _labels(self, cell: Cell, metric: Metric) -> tuple[str, str]:
+        row, series = [cell.profile.name], [self.approach_label(cell.approach)]
+        for axis, value in zip(self.axes, cell.values):
+            (series if axis.column else row).append(axis.label.format(value))
+        if self.metric_series:
+            series = [metric.label]
+        elif len(self.metrics) > 1:
+            row.append(metric.label)
+        return " ".join(row), " ".join(series)
+
+    def build(self, name: str, cache: ResultCache, functions=None,
+              **axes) -> FigureData:
+        """Read every cell from ``cache`` once, in :meth:`cells` order."""
+        rows: dict[tuple, str] = {}
+        table: dict[str, dict[tuple, float]] = {}
+        for cell in self.cells(functions, **axes):
+            result = cache.get(cell.spec)
+            for metric in self.metrics:
+                row, series = self._labels(cell, metric)
+                rows.setdefault((cell.index, row), row)
+                table.setdefault(series, {})[cell.index, row] = (
+                    metric.read(cell.spec, result))
+        if self.normalize:
+            base = table[self.normalize]
+            table = {series: {key: value / base[key]
+                              for key, value in column.items()}
+                     for series, column in table.items()}
+        return FigureData(
+            figure=name, ylabel=self.ylabel, functions=list(rows.values()),
+            series={series: [column[key] for key in rows]
+                    for series, column in table.items()},
+            notes=self.notes)
+
+    def summarize(self, cache: ResultCache, functions=None,
+                  **axes) -> list[str]:
+        """The plane command's per-cell summary block (empty when the
+        figure has none)."""
+        if self.summary is None:
+            return []
+        return [f"{cell.profile.name}/{cell.approach} "
+                f"[{' '.join(map(str, cell.values))}]: "
+                f"{self.summary(cell.spec, cache.get(cell.spec))}"
+                for cell in self.cells(functions, **axes)]
+
+
 def _profiles(functions) -> list[FunctionProfile]:
     if functions is None:
         return list(FUNCTIONS)
-    by_name = {p.name: p for p in FUNCTIONS}
-    return [p if isinstance(p, FunctionProfile) else by_name[p]
+    return [p if isinstance(p, FunctionProfile) else profile_by_name(p)
             for p in functions]
 
 
-def _cluster_profiles(functions) -> list[FunctionProfile]:
-    if functions is None:
-        return [profile_by_name(name) for name in CLUSTER_BASE_FUNCTIONS]
-    return _profiles(functions)
+_E2E = Metric(lambda _spec, result: result.mean_e2e)
 
 
-def figure_3a(cache: ResultCache | None = None,
-              functions=None) -> FigureData:
-    """Fig. 3a: E2E latency (s), single instance: REAP / FaaSnap / SnapBPF."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    data = FigureData(figure="3a", ylabel="E2E latency (s)",
-                      functions=[p.name for p in profiles])
-    approaches, n_instances = FIGURE_MATRIX["3a"]
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(ScenarioSpec(function=p, approach=approach,
-                                   n_instances=n_instances)).mean_e2e
-            for p in profiles]
-    return data
+def _map_load(result) -> float:
+    return result.extra.get("map_load_seconds", 0.0)
 
 
-def figure_3b(cache: ResultCache | None = None, functions=None,
-              normalize: bool = True) -> FigureData:
-    """Fig. 3b: E2E latency, 10 concurrent instances, normalized to
-    Linux-NoRA: Linux-NoRA / Linux-RA / REAP / SnapBPF."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    approaches, n_instances = FIGURE_MATRIX["3b"]
-    raw = {a: [cache.get(ScenarioSpec(function=p, approach=a,
-                                      n_instances=n_instances)).mean_e2e
-               for p in profiles] for a in approaches}
-    data = FigureData(
-        figure="3b",
-        ylabel=("E2E latency (normalized to Linux-NoRA)"
-                if normalize else "E2E latency (s)"),
-        functions=[p.name for p in profiles],
+def _footprint(spec: ScenarioSpec, result) -> float:
+    """Per-VM anonymous footprint for uffd approaches (pinned), shared
+    file-backed footprint for page-cache approaches (reclaimable)."""
+    if spec.approach in UFFD_APPROACHES:
+        return result.end_anon_bytes / spec.n_instances / GIB
+    return result.end_file_bytes / GIB
+
+
+def _traffic_summary(spec: ScenarioSpec, result) -> str:
+    """Cell headline plus the per-tenant SLO table."""
+    extra = result.extra
+    lines = [f"{extra['traffic_invocations']:.0f} invocations, cold ratio "
+             f"{extra['traffic_cold_ratio']:.4f}, p99.9 E2E "
+             f"{extra['traffic_p999_e2e'] * 1e3:.1f} ms",
+             "  tenant   requests  cold-ratio   p99 e2e p99.9 e2e  p99 cold"]
+    for tenant in range(spec.cluster.traffic.n_tenants):
+        row = {key: extra[f"slo_t{tenant}_{key}"]
+               for key in ("requests", "cold_ratio", "p99_e2e", "p999_e2e",
+                           "p99_cold")}
+        lines.append(f"  t{tenant:<7d} {row['requests']:8.0f}  "
+                     f"{row['cold_ratio']:10.4f} "
+                     f"{row['p99_e2e'] * 1e3:8.1f}ms "
+                     f"{row['p999_e2e'] * 1e3:8.1f}ms "
+                     f"{row['p99_cold'] * 1e3:8.1f}ms")
+    return "\n".join(lines)
+
+
+def _storage_summary(_spec: ScenarioSpec, result) -> str:
+    """Dedup factor and bytes per tier of one cell."""
+    extra = result.extra
+    dedup = extra.get("snapstore_dedup_factor")
+    if dedup is None:
+        return "flat files (no snapstore)"
+    fetched = extra.get("snapstore_remote_fetch_bytes", 0.0)
+    return (f"dedup {dedup:.2f}x, unique "
+            f"{extra['snapstore_unique_bytes'] / MIB:.0f} MiB, local "
+            f"{extra['snapstore_local_bytes'] / MIB:.0f} MiB, "
+            f"remote fetched {fetched / MIB:.0f} MiB")
+
+
+_CLUSTER_APPROACHES = ("linux-ra", "reap", "faasnap", "snapbpf")
+_CONCURRENT = {"n_instances": CONCURRENT_INSTANCES}
+
+#: Every figure, by name.  The cluster planes default to ONE base
+#: function (their cells are whole fleet simulations -- 13 base
+#: functions x 32 cells would dwarf every other figure combined); pass
+#: ``functions=...`` to widen them.
+FIGURE_MATRIX: dict[str, Figure] = {
+    "3a": Figure(
+        ("reap", "faasnap", "snapbpf"), "E2E latency (s)", (_E2E,)),
+    "3b": Figure(
+        ("linux-nora", "linux-ra", "reap", "snapbpf"),
+        "E2E latency (normalized to Linux-NoRA)", (_E2E,),
+        settings=_CONCURRENT, normalize="linux-nora",
         notes=f"{CONCURRENT_INSTANCES} concurrent instances, "
-              f"identical inputs")
-    for approach in approaches:
-        if normalize:
-            data.series[approach] = [
-                raw[approach][i] / raw["linux-nora"][i]
-                for i in range(len(profiles))]
-        else:
-            data.series[approach] = raw[approach]
-    return data
-
-
-def figure_3c(cache: ResultCache | None = None, functions=None) -> FigureData:
-    """Fig. 3c: system-wide memory (GiB), 10 concurrent instances."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    data = FigureData(
-        figure="3c", ylabel="Memory consumption (GiB)",
-        functions=[p.name for p in profiles],
-        notes=f"{CONCURRENT_INSTANCES} concurrent instances")
-    approaches, n_instances = FIGURE_MATRIX["3c"]
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(ScenarioSpec(function=p, approach=approach,
-                                   n_instances=n_instances))
-            .peak_memory_bytes / GIB
-            for p in profiles]
-    return data
-
-
-def figure_4(cache: ResultCache | None = None, functions=None) -> FigureData:
-    """Fig. 4: breakdown — normalized E2E latency of Linux-RA (baseline),
-    PV PTE marking alone, and full SnapBPF (PV + eBPF prefetch)."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    approaches, n_instances = FIGURE_MATRIX["4"]
-    raw = {a: [cache.get(ScenarioSpec(function=p, approach=a,
-                                      n_instances=n_instances)).mean_e2e
-               for p in profiles] for a in approaches}
-    data = FigureData(
-        figure="4", ylabel="Normalized E2E latency (Linux-RA = 1.0)",
-        functions=[p.name for p in profiles],
-        notes="single instance; lower is better")
-    for approach in approaches:
-        data.series[approach] = [raw[approach][i] / raw["linux-ra"][i]
-                                 for i in range(len(profiles))]
-    return data
-
-
-def overheads(cache: ResultCache | None = None, functions=None) -> FigureData:
-    """§4 'SnapBPF Overheads': offset-load (eBPF map) latency, absolute
-    (ms) and as a fraction of E2E latency."""
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    data = FigureData(
-        figure="overheads",
-        ylabel="offset-load latency",
-        functions=[p.name for p in profiles],
-        notes="map-load ms and fraction of E2E; paper: ~1-2 ms, <1%")
-    load_ms, frac = [], []
-    for p in profiles:
-        result = cache.get(ScenarioSpec(function=p, approach="snapbpf",
-                                        n_instances=1))
-        load = result.extra.get("map_load_seconds", 0.0)
-        load_ms.append(load * 1e3)
-        frac.append(load / result.mean_e2e if result.mean_e2e else 0.0)
-    data.series["map_load_ms"] = load_ms
-    data.series["fraction_of_e2e"] = frac
-    return data
-
-
-def figure_mem(cache: ResultCache | None = None,
-               functions=None) -> FigureData:
-    """Memory-pressure elasticity (paper Fig. 3c's dynamic claim): under
-    a shrinking frame pool, page-cache-backed approaches deflate their
-    file-backed footprint via reclaim, while REAP's per-VM anonymous
-    frames cannot be shed at all.
-
-    Each approach gets one series per headroom factor g (pool sized by
-    :func:`pressure_ram_bytes`).  For uffd approaches the value is the
-    per-VM anonymous footprint (GiB) — flat across g; for page-cache
-    approaches it is the shared file-backed footprint — dropping with g.
-    """
-    cache = cache or ResultCache()
-    profiles = _profiles(functions)
-    approaches, n_instances = FIGURE_MATRIX["mem"]
-    data = FigureData(
-        figure="mem", ylabel="End-of-run footprint (GiB)",
-        functions=[p.name for p in profiles],
-        notes=f"{n_instances} concurrent instances; g = headroom over "
-              f"the unreclaimable floor; file series deflate under "
-              f"pressure, anon/vm series stay pinned")
-    for approach in approaches:
-        uffd = approach in UFFD_APPROACHES
-        kind = "anon/vm" if uffd else "file"
-        for g in MEM_HEADROOMS:
-            values = []
-            for p in profiles:
-                spec = ScenarioSpec(
-                    function=p, approach=approach, n_instances=n_instances,
-                    ram_bytes=pressure_ram_bytes(p, approach,
-                                                 n_instances, g))
-                result = cache.get(spec)
-                if uffd:
-                    values.append(result.end_anon_bytes / n_instances / GIB)
-                else:
-                    values.append(result.end_file_bytes / GIB)
-            data.series[f"{approach} {kind} g={g}"] = values
-    return data
-
-
-def cluster_figure_data(cache: ResultCache, profiles, approaches,
-                        policies=CLUSTER_POLICIES,
-                        node_counts=CLUSTER_NODE_COUNTS,
-                        **cluster_kwargs) -> FigureData:
-    """Cold-start ratio per (base function, policy, fleet size) row and
-    approach column — shared by :func:`figure_cluster` and the CLI's
-    ``cluster --fig`` mode (which narrows the axes)."""
-    rows = [(p, policy, n) for p in profiles
-            for policy in policies for n in node_counts]
-    data = FigureData(
-        figure="cluster", ylabel="cold-start ratio",
-        functions=[f"{p.name} {policy} n={n}" for p, policy, n in rows],
+              f"identical inputs"),
+    "3c": Figure(
+        ("linux-nora", "linux-ra", "reap", "snapbpf"),
+        "Memory consumption (GiB)",
+        (Metric(lambda _spec, result: result.peak_memory_bytes / GIB),),
+        settings=_CONCURRENT,
+        notes=f"{CONCURRENT_INSTANCES} concurrent instances"),
+    # Breakdown: Linux-RA (baseline), PV PTE marking alone, and full
+    # SnapBPF (PV + eBPF prefetch).
+    "4": Figure(
+        ("linux-ra", "pv-ptes", "snapbpf"),
+        "Normalized E2E latency (Linux-RA = 1.0)", (_E2E,),
+        normalize="linux-ra", notes="single instance; lower is better"),
+    # Section 4 'SnapBPF Overheads': offset-load (eBPF map) latency,
+    # absolute and as a fraction of E2E latency.
+    "overheads": Figure(
+        ("snapbpf",), "offset-load latency",
+        (Metric(lambda _spec, result: _map_load(result) * 1e3,
+                "map_load_ms"),
+         Metric(lambda _spec, result: (_map_load(result) / result.mean_e2e
+                                       if result.mean_e2e else 0.0),
+                "fraction_of_e2e")),
+        metric_series=True,
+        notes="map-load ms and fraction of E2E; paper: ~1-2 ms, <1%"),
+    # Memory-pressure elasticity (paper Fig. 3c's dynamic claim): under
+    # a shrinking frame pool, page-cache approaches deflate their file
+    # footprint via reclaim; REAP's per-VM anonymous frames cannot be
+    # shed at all, so its series stay flat across g.
+    "mem": Figure(
+        ("linux-ra", "reap", "snapbpf"), "End-of-run footprint (GiB)",
+        (Metric(_footprint),), settings=_CONCURRENT,
+        axes=(Axis("headroom", MEM_HEADROOMS, "g={}", column=True),),
+        approach_label=lambda approach: approach + (
+            " anon/vm" if approach in UFFD_APPROACHES else " file"),
+        notes=f"{CONCURRENT_INSTANCES} concurrent instances; g = headroom "
+              f"over the unreclaimable floor; file series deflate under "
+              f"pressure, anon/vm series stay pinned"),
+    # Snapshot-locality routing cuts the cold-start ratio versus random
+    # spraying for every restore approach.
+    "cluster": Figure(
+        _CLUSTER_APPROACHES, "cold-start ratio",
+        (_extra("cluster_cold_ratio"),), cell=cluster_cell_spec,
+        axes=(Axis("policy", ("random", "round-robin", "least-loaded",
+                              "snapshot-locality")),
+              Axis("n_nodes", (2, 4), "n={}")),
+        functions=("json",),
         notes="snapshot-locality keeps each function's snapshot pages "
-              "hot on one node; random pays a cold cache per re-route")
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(cluster_cell_spec(p, approach, policy, n,
-                                        **cluster_kwargs))
-            .extra["cluster_cold_ratio"]
-            for p, policy, n in rows]
-    return data
-
-
-def traffic_figure_data(cache: ResultCache, profiles, approaches,
-                        keepalives=TRAFFIC_KEEPALIVES,
-                        traffic: TrafficSpec | None = None,
-                        quick: bool = False,
-                        **cluster_kwargs) -> FigureData:
-    """Keep-alive policy x metric rows, approach columns — shared by
-    :func:`figure_traffic` and the CLI's ``traffic`` command (which can
-    narrow the axes or shrink the workload)."""
-    rows = [(p, keepalive, key, label) for p in profiles
-            for keepalive in keepalives
-            for key, label in TRAFFIC_METRICS]
-    data = FigureData(
-        figure="traffic", ylabel="cold-start ratio / p99.9 E2E (s)",
-        functions=[f"{p.name} {keepalive} {label}"
-                   for p, keepalive, _, label in rows],
+              "hot on one node; random pays a cold cache per re-route"),
+    # Production-shaped load (Zipf popularity, diurnal + burst arrivals,
+    # multi-tenant mixes) through the cluster plane.
+    "traffic": Figure(
+        _CLUSTER_APPROACHES, "cold-start ratio / p99.9 E2E (s)",
+        (_extra("traffic_cold_ratio", "cold-ratio"),
+         _extra("traffic_p999_e2e", "p99.9-e2e")),
+        cell=traffic_cell_spec,
+        axes=(Axis("keepalive", ("fixed", "histogram")),),
+        functions=("json",), quick={"quick": True},
+        summary=_traffic_summary,
         notes="histogram keep-alive learns per-function idle times; "
-              "fixed parks every sandbox for the same TTL")
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(traffic_cell_spec(p, approach, keepalive,
-                                        traffic=traffic, quick=quick,
-                                        **cluster_kwargs)).extra[key]
-            for p, keepalive, key, _ in rows]
-    return data
-
-
-def figure_traffic(cache: ResultCache | None = None,
-                   functions=None) -> FigureData:
-    """Traffic figure: production-shaped load (Zipf popularity, diurnal
-    + burst arrivals, multi-tenant mixes) through the cluster plane,
-    comparing the four restore approaches x keep-alive policies on
-    cold-start ratio and p99.9 E2E latency."""
-    cache = cache or ResultCache()
-    approaches, _ = FIGURE_MATRIX["traffic"]
-    return traffic_figure_data(cache, _cluster_profiles(functions),
-                               approaches)
-
-
-def storage_figure_data(cache: ResultCache, profiles, approaches,
-                        tiers=None, policies=STORAGE_POLICIES,
-                        n_nodes: int = STORAGE_NODE_COUNT,
-                        **cluster_kwargs) -> FigureData:
-    """Tier config x routing policy x metric rows, approach columns —
-    shared by :func:`figure_storage` and the CLI's ``storage`` command
-    (which can narrow the axes or shrink the workload)."""
-    tier_names = list(tiers if tiers is not None else STORAGE_TIERS)
-    rows = [(p, tier, policy, key, label, scale)
-            for p in profiles for tier in tier_names
-            for policy in policies
-            for key, label, scale in STORAGE_METRICS]
-    data = FigureData(
-        figure="storage",
-        ylabel="cold-ratio / p99 E2E (s) / dedup / tier bytes (GiB)",
-        functions=[f"{p.name} {tier} {policy} {label}"
-                   for p, tier, policy, _, label, _ in rows],
+              "fixed parks every sandbox for the same TTL"),
+    # Snapshot tiering: the locality-vs-random margin is the point (a
+    # locality miss now costs real staged remote fetches).
+    "storage": Figure(
+        ("linux-ra", "reap", "snapbpf"),
+        "cold-ratio / p99 E2E (s) / dedup / tier bytes (GiB)",
+        (_extra("cluster_cold_ratio", "cold-ratio"),
+         _extra("cluster_p99_latency", "p99-e2e"),
+         _extra("snapstore_dedup_factor", "dedup"),
+         _extra("snapstore_local_bytes", "local-GiB", 1.0 / GIB),
+         _extra("snapstore_hdd_bytes", "hdd-GiB", 1.0 / GIB),
+         _extra("snapstore_remote_bytes", "remote-GiB", 1.0 / GIB)),
+        cell=storage_cell_spec,
+        axes=(Axis("tier", tuple(STORAGE_TIERS)),
+              Axis("policy", ("random", "snapshot-locality"))),
+        functions=("json",),
+        quick=dict(n_functions=2, duration=3.0, n_nodes=2),
+        summary=_storage_summary,
         notes="local = identity config (byte-identical to flat); "
               "colder placements stage chunks through the shared remote "
-              "object store, so a locality miss costs real fetches")
-    for approach in approaches:
-        data.series[approach] = [
-            cache.get(storage_cell_spec(p, approach, tier, policy,
-                                        n_nodes=n_nodes, **cluster_kwargs))
-            .extra.get(key, 0.0) * scale
-            for p, tier, policy, key, _, scale in rows]
-    return data
-
-
-def figure_storage(cache: ResultCache | None = None,
-                   functions=None) -> FigureData:
-    """Storage figure: snapshot-tiering sweep through the cluster plane —
-    tier configurations x routing policies, reporting cold-start ratio,
-    p99 E2E, fleet dedup factor, and bytes per tier, with the flat-file
-    baseline alongside."""
-    cache = cache or ResultCache()
-    approaches, _ = FIGURE_MATRIX["storage"]
-    return storage_figure_data(cache, _cluster_profiles(functions),
-                               approaches)
-
-
-def figure_cluster(cache: ResultCache | None = None,
-                   functions=None) -> FigureData:
-    """Cluster figure: routing policy x fleet size sweep showing
-    snapshot-locality routing cutting the cold-start ratio versus
-    random spraying for every restore approach."""
-    cache = cache or ResultCache()
-    approaches, _ = FIGURE_MATRIX["cluster"]
-    return cluster_figure_data(cache, _cluster_profiles(functions),
-                               approaches)
-
-
-#: Builder function per figure name (shared by the CLI and benchmarks).
-FIGURE_BUILDERS = {
-    "3a": figure_3a,
-    "3b": figure_3b,
-    "3c": figure_3c,
-    "4": figure_4,
-    "overheads": overheads,
-    "mem": figure_mem,
-    "cluster": figure_cluster,
-    "traffic": figure_traffic,
-    "storage": figure_storage,
+              "object store, so a locality miss costs real fetches"),
 }
+
+FIGURES: tuple[str, ...] = tuple(FIGURE_MATRIX)
+
+
+def figure_specs(figure: str, functions=None, **axes) -> list[ScenarioSpec]:
+    """Every scenario cell one figure needs, as sweepable specs (see
+    :meth:`Figure.cells` for the keywords)."""
+    return [cell.spec
+            for cell in FIGURE_MATRIX[figure].cells(functions, **axes)]
+
+
+def matrix_specs(figures=None, functions=None,
+                 **axes) -> list[ScenarioSpec]:
+    """The union of several figures' cells, deduplicated in first-seen
+    order (3b and 3c share every run, 3a and 4 share snapbpf x1)."""
+    specs: list[ScenarioSpec] = []
+    seen: set[ScenarioSpec] = set()
+    for figure in (figures if figures is not None else FIGURES):
+        for spec in figure_specs(figure, functions, **axes):
+            if spec not in seen:
+                seen.add(spec)
+                specs.append(spec)
+    return specs
 
 
 def build_figure(figure: str, cache: ResultCache | None = None,
-                 functions=None) -> FigureData:
-    """Build one figure by name against a (possibly pre-warmed) cache."""
-    return FIGURE_BUILDERS[figure](cache, functions=functions)
+                 functions=None, **axes) -> FigureData:
+    """Build one figure by name against a (possibly pre-warmed) cache,
+    reading exactly the cells :func:`figure_specs` enumerates."""
+    return FIGURE_MATRIX[figure].build(figure, cache or ResultCache(),
+                                       functions, **axes)
 
 
 def table_1() -> list[dict[str, str]]:

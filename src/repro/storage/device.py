@@ -67,10 +67,6 @@ class BlockIOError(IOError):
         self.transient = transient
 
 
-#: Deprecated alias, kept for callers written against the old name.
-IOError_ = BlockIOError
-
-
 class DeviceStats:
     """Cumulative accounting used by the benchmarks (I/O amplification).
 

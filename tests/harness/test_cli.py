@@ -176,10 +176,24 @@ def test_cluster_bad_policy(capsys):
     assert "policy" in capsys.readouterr().err
 
 
-def test_cluster_fig_bad_policy_list(capsys):
-    assert main(["cluster", "json", "--fig", "--policies",
-                 "random,bogus"]) == 2
-    assert "unknown routing policy" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["cluster", "json", "--fig", "--policies", "random,bogus"],
+    ["cluster", "json", "--fig", "--node-counts", "2,x"],
+    ["cluster", "json", "--fig", "--node-counts", "0"],
+    ["cluster", "json", "--fig", "--duration", "0"],
+    ["traffic", "--quick", "--nodes", "0"],
+    ["traffic", "--quick", "--slots", "0"],
+    ["traffic", "--quick", "--keepalives", "fixed,bogus"],
+    ["storage", "--quick", "--nodes", "0"],
+    ["storage", "--quick", "--tiers", "flat,bogus"],
+    ["fig", "4", "--functions", "nosuch"],
+], ids=" ".join)
+def test_figure_commands_reject_bad_axis_input(argv, capsys):
+    """Bad axis input fails before any cell runs: one error line on
+    stderr, exit 2, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cluster_fig_smoke(capsys):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.harness.experiment import ResultCache
-from repro.harness.figures import FigureData, _profiles, figure_3b
+from repro.harness.figures import FigureData, _profiles
 from repro.units import MIB
 from repro.workloads.profile import FUNCTIONS, FunctionProfile
 
@@ -19,17 +18,6 @@ def test_profiles_resolution_by_name_and_object(tiny):
     assert _profiles(None) == list(FUNCTIONS)
     assert _profiles(["bert"])[0].name == "bert"
     assert _profiles([tiny])[0] is tiny
-
-
-def test_figure_3b_unnormalized(tiny):
-    cache = ResultCache()
-    raw = figure_3b(cache, functions=[tiny], normalize=False)
-    norm = figure_3b(cache, functions=[tiny], normalize=True)
-    nora = raw.value("tiny2", "linux-nora")
-    assert nora > 0.02  # absolute seconds, not a ratio
-    assert norm.value("tiny2", "snapbpf") == pytest.approx(
-        raw.value("tiny2", "snapbpf") / nora)
-    assert "(s)" in raw.ylabel and "normalized" in norm.ylabel
 
 
 def test_figure_data_unknown_lookup_raises():

@@ -9,7 +9,7 @@ import pytest
 
 from repro.faults import SweepFaultInjector
 from repro.harness.experiment import ResultCache
-from repro.harness.figures import figure_3a, figure_specs
+from repro.harness.figures import build_figure, figure_specs
 from repro.harness.report import render_figure
 from repro.harness.spec import SCHEMA_VERSION, ScenarioSpec
 from repro.harness.sweep import (
@@ -25,7 +25,7 @@ from repro.harness.sweep import (
 
 
 def _render_3a(cache, tiny_profile) -> str:
-    return render_figure(figure_3a(cache, functions=[tiny_profile]))
+    return render_figure(build_figure("3a", cache, functions=[tiny_profile]))
 
 
 @pytest.fixture

@@ -125,7 +125,7 @@ def test_degradation_counters_in_text_exposition(profiles):
     arrivals = [Arrival(i * 0.3, "alpha", 0) for i in range(4)]
     report = node.run(arrivals)
     registry = node.kernel.metrics
-    exposition = registry.render()
+    exposition = registry.text_exposition()
     # fault_summary() counters surface as node_* metrics alongside the
     # kernel's other series in one Prometheus text exposition.
     assert "node_requests_total 4" in exposition
