@@ -63,6 +63,7 @@ from repro.ebpf.interp import (
     _to_signed,
 )
 from repro.ebpf.kfunc import KfuncRegistry
+from repro.ebpf.maps import ArrayMap
 
 __all__ = ["CompiledProgram", "CompileError", "compile_program"]
 
@@ -136,6 +137,23 @@ def _buffer_arg(value: object, size: int) -> bytes:
     return value.region.read_bytes(value.off, size)
 
 
+def _value_ptr(bpf_map, value: bytearray) -> _Ptr:
+    return _Ptr(_Region(value, True, "map:" + bpf_map.name), 0)
+
+
+def _lookup(bpf_map, key: bytes):
+    """``bpf_map_lookup_elem``: a pointer to the value, or 0.  An array
+    map's slots are permanent, so each slot's pointer is built once and
+    kept on the map; other maps may replace a value, so theirs are
+    built per lookup."""
+    if type(bpf_map) is ArrayMap:
+        ptr = bpf_map.slot_ref(key, _value_ptr)
+    else:
+        value = bpf_map.lookup(key)
+        ptr = None if value is None else _value_ptr(bpf_map, value)
+    return 0 if ptr is None else ptr
+
+
 #: Globals every generated closure runs against (plus its per-program
 #: constants).  ``exec`` copies this into each closure's namespace.
 _BASE_NAMESPACE = {
@@ -151,6 +169,7 @@ _BASE_NAMESPACE = {
     "_jmp_slow": _jmp_slow,
     "_map_arg": _map_arg,
     "_buffer_arg": _buffer_arg,
+    "_lookup": _lookup,
     "_spec_for": H.spec_for,
 }
 
@@ -172,6 +191,7 @@ class _Codegen:
         self.consts: dict[str, object] = {}
         self._maps: dict[str, str] = {}      # map name -> const name
         self._nconst = 0
+        self._block = 0                      # block being emitted
 
     # -- small utilities ----------------------------------------------------
     def emit(self, indent: int, line: str) -> None:
@@ -216,23 +236,28 @@ class _Codegen:
                   and not any(isinstance(i, Jmp) for i in insns))
 
         self.consts["_span"] = f"bpf:{self.program.name}"
-        self.emit(0, "def _bpf_run(rt, ctx, budget):")
+        # r1 arrives as the caller's read-only ctx pointer (shared by
+        # every program of one kprobe fire); the stack is fresh per run.
+        self.emit(0, "def _bpf_run(rt, r1, budget):")
         self.emit(1, f'_stk = _Region(bytearray({STACK_SIZE}), True, "stack")')
         self.emit(1, f"r10 = _Ptr(_stk, {STACK_SIZE})")
-        self.emit(1, 'r1 = _Ptr(_Region(bytes(ctx), False, "ctx"), 0)')
         self.emit(1, "r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = None")
         self.emit(1, "executed = 0")
         if single:
             body = 1
         else:
+            # Blocks are guarded in program order, so falling through or
+            # jumping forward reaches the target guard further down the
+            # same pass; only backward jumps restart the loop.
             self.emit(1, "_b = 0")
             self.emit(1, "while True:")
             body = 3
 
         for bi, start in enumerate(starts):
+            self._block = bi
             end = starts[bi + 1] if bi + 1 < len(starts) else len(insns)
             if not single:
-                self.emit(2, f"{'if' if bi == 0 else 'elif'} _b == {bi}:")
+                self.emit(2, f"if _b == {bi}:")
             pcs = self.const("pcs", tuple(range(start, end)))
             self.emit(body, f"executed += {end - start}")
             self.emit(body, "if executed > budget:")
@@ -241,13 +266,23 @@ class _Codegen:
             for pc in range(start, end):
                 terminated = self.emit_insn(insns[pc], body, block_of)
             if not terminated:
-                if end in block_of:
-                    self.emit(body, f"_b = {block_of[end]}")
-                    self.emit(body, "continue")
-                else:
-                    self.emit(body, "raise RuntimeFault("
-                                    f'"pc {end} out of program")')
+                ind = body
+                if isinstance(insns[end - 1], Jmp):
+                    # Not taken: the branch's else, so a forward taken
+                    # target is not overwritten.
+                    self.emit(body, "else:")
+                    ind = body + 1
+                self.goto(end, ind, block_of)
         return "\n".join(self.lines) + "\n"
+
+    def goto(self, target: int, ind: int, block_of: dict) -> None:
+        """Transfer control to the block starting at pc ``target``."""
+        if target not in block_of:
+            self.emit(ind, f'raise RuntimeFault("pc {target} out of program")')
+            return
+        self.emit(ind, f"_b = {block_of[target]}")
+        if block_of[target] <= self._block:
+            self.emit(ind, "continue")
 
     # -- per-instruction emission -------------------------------------------
     def emit_insn(self, insn: Insn, ind: int, block_of: dict) -> bool:
@@ -296,6 +331,13 @@ class _Codegen:
             expr = self._alu_expr(op, d, str(im), imm=im)
             self.emit(ind, f"if isinstance({d}, int):")
             self.emit(ind + 1, f"{d} = {expr}")
+            if op in ("add", "sub"):
+                # Pointer +/- constant (stack and map-value addressing):
+                # _Ptr.moved, inline.
+                delta = _to_signed(im) if op == "add" else -_to_signed(im)
+                self.emit(ind, f"elif isinstance({d}, _Ptr):")
+                self.emit(ind + 1, f"{d} = _Ptr({d}.region, {d}.off + "
+                                   f"({delta}), {d}.bpf_map)")
             self.emit(ind, "else:")
             self.emit(ind + 1, f'{d} = _alu_slow("{op}", {d}, {im})')
         else:
@@ -342,19 +384,12 @@ class _Codegen:
         raise CompileError(f"unknown ALU op {op!r}")
 
     def emit_jmp(self, insn: Jmp, ind: int, block_of: dict) -> None:
-        def goto(target: int, level: int) -> None:
-            if target in block_of:
-                self.emit(level, f"_b = {block_of[target]}")
-                self.emit(level, "continue")
-            else:
-                self.emit(level, "raise RuntimeFault("
-                                 f'"pc {target} out of program")')
-
         if insn.op == "ja":
-            goto(insn.target, ind)
+            self.goto(insn.target, ind, block_of)
             return
         d = f"r{insn.dst}"
         op = insn.op
+        null_check = None
         if insn.imm is not None:
             im = insn.imm & U64_MASK
             guard = f"isinstance({d}, int)"
@@ -365,6 +400,10 @@ class _Codegen:
             else:  # jset
                 expr = f"({d} & {im}) != 0"
             slow = f'_t = _jmp_slow("{op}", {d}, {im})'
+            if im == 0 and op in ("jeq", "jne"):
+                # The NULL check after a map lookup: a live pointer is
+                # never NULL (_jmp_slow's rule, inline).
+                null_check = op == "jne"
         else:
             self.emit(ind, f"_s = r{insn.src}")
             guard = f"isinstance({d}, int) and isinstance(_s, int)"
@@ -377,10 +416,13 @@ class _Codegen:
             slow = f'_t = _jmp_slow("{op}", {d}, _s)'
         self.emit(ind, f"if {guard}:")
         self.emit(ind + 1, f"_t = {expr}")
+        if null_check is not None:
+            self.emit(ind, f"elif isinstance({d}, _Ptr):")
+            self.emit(ind + 1, f"_t = {null_check}")
         self.emit(ind, "else:")
         self.emit(ind + 1, slow)
         self.emit(ind, "if _t:")
-        goto(insn.target, ind + 1)
+        self.goto(insn.target, ind + 1, block_of)
 
     def emit_load(self, insn: Load, ind: int) -> None:
         d, w = f"r{insn.dst}", insn.width
@@ -431,12 +473,7 @@ class _Codegen:
         if hid == H.BPF_FUNC_MAP_LOOKUP_ELEM:
             self.emit(ind, "_a = _map_arg(r1)")
             self.emit(ind, "_key = _buffer_arg(r2, _a.key_size)")
-            self.emit(ind, "_v = _a.lookup(_key)")
-            self.emit(ind, "if _v is None:")
-            self.emit(ind + 1, "r0 = 0")
-            self.emit(ind, "else:")
-            self.emit(ind + 1,
-                      'r0 = _Ptr(_Region(_v, True, "map:" + _a.name), 0)')
+            self.emit(ind, "r0 = _lookup(_a, _key)")
         elif hid == H.BPF_FUNC_MAP_UPDATE_ELEM:
             self.emit(ind, "_a = _map_arg(r1)")
             self.emit(ind, "_key = _buffer_arg(r2, _a.key_size)")
@@ -515,7 +552,7 @@ class _Codegen:
         self.emit(ind + 1, '_tr.complete(_span, "ebpf", '
                            "rt.time_ns() / 1e9, dur=executed * _cost, "
                            'track="ebpf", insns=executed, r0=r0)')
-        self.emit(ind, "return ExecutionResult(r0=r0, insn_count=executed)")
+        self.emit(ind, "return ExecutionResult(r0, executed)")
 
 
 def _cache_key(program: Program, kfuncs: KfuncRegistry) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.ebpf import helpers as H
@@ -57,7 +57,6 @@ class ExecutionResult:
 
     r0: int
     insn_count: int
-    trace: list[int] = field(default_factory=list)
 
 
 class _Region:
@@ -108,6 +107,13 @@ def _to_signed(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
+def ctx_pointer(ctx: bytes) -> _Ptr:
+    """The read-only R1 a run starts with.  Nothing writes through it or
+    mutates it (stores to a read-only region fault, pointer arithmetic
+    builds a new ``_Ptr``), so one fire may share it across programs."""
+    return _Ptr(_Region(bytes(ctx), False, "ctx"), 0)
+
+
 class Interpreter:
     """Executes programs; shared helper/kfunc environment.
 
@@ -139,15 +145,22 @@ class Interpreter:
             "REPRO_EBPF_INTERP", "") not in ("1", "true", "yes", "on")
 
     def run(self, program: Program, ctx: bytes = b"",
-            budget: int = INSN_BUDGET) -> ExecutionResult:
-        """Run ``program`` on the active tier (compiled unless disabled)."""
+            budget: int = INSN_BUDGET,
+            ctx_ptr: _Ptr | None = None) -> ExecutionResult:
+        """Run ``program`` on the active tier (compiled unless disabled).
+
+        ``ctx_ptr`` is :func:`ctx_pointer` of ``ctx``, built once by a
+        caller that runs several programs on the same context; the
+        interpreter tier always builds its own from ``ctx``."""
         if self.use_compiled:
             compiled = getattr(program, "_compiled", None)
             if compiled is None or compiled.owner is not self:
                 compiled = self.prepare(program)
                 if compiled is None:   # generator punted; interpret
                     return self.interpret(program, ctx, budget)
-            return compiled.fn(self, ctx, budget)
+            if ctx_ptr is None:
+                ctx_ptr = ctx_pointer(ctx)
+            return compiled.fn(self, ctx_ptr, budget)
         return self.interpret(program, ctx, budget)
 
     def prepare(self, program: Program):

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ebpf.asm import Program
-from repro.ebpf.interp import INSN_COST_SECONDS, Interpreter
+from repro.ebpf.interp import (INSN_BUDGET, INSN_COST_SECONDS, Interpreter,
+                               ctx_pointer)
 from repro.ebpf.kfunc import KfuncRegistry
 from repro.ebpf.verifier import Verifier
 
@@ -67,6 +68,7 @@ class KprobeManager:
         #: (e.g. snapbpf_prefetch allocating cache pages); drained into
         #: the fire() return value so the triggering kernel path pays.
         self.side_cost = 0.0
+        self._last_r0: int | None = None   # see fire()
 
     # -- hook point administration (the simulated kernel's side) -------------
     def declare_hook(self, name: str, ctx_size: int) -> None:
@@ -114,27 +116,38 @@ class KprobeManager:
         return list(self.hook(name).programs)
 
     # -- kernel dispatch ------------------------------------------------------
-    def fire(self, name: str, ctx: bytes) -> float:
-        """Run all programs attached to ``name``; returns seconds consumed."""
+    def fire(self, name: str, ctx: bytes, detach: bool = True) -> float:
+        """Run all programs attached to ``name``; returns seconds consumed.
+
+        With ``detach``, a program returning RET_DETACH_SELF is detached
+        (SnapBPF's prefetch program disables itself after the last group).
+        The last r0 (``None`` if nothing is attached) is kept for
+        :meth:`fire_verdict`.  The loop lives here, not in a helper, so
+        the per-page insert path pays no extra call frame.
+        """
         hook = self.hook(name)
         hook.fire_count += 1
         if not hook.programs:
+            self._last_r0 = None
             return 0.0
         if len(ctx) != hook.ctx_size:
             raise KprobeError(
                 f"hook {name!r}: ctx size {len(ctx)} != {hook.ctx_size}")
+        run = self.interpreter.run
+        ctx_ptr = ctx_pointer(ctx)   # read-only: one per fire, shared
         total_insns = 0
-        # Iterate over a copy: a program may detach itself (SnapBPF's
-        # prefetch program disables itself after the last group) by
-        # returning RET_DETACH_SELF.
+        r0 = 0
+        # Iterate over a copy: a program may detach itself (RET_DETACH_SELF).
         for program in list(hook.programs):
-            result = self.interpreter.run(program, ctx)
+            result = run(program, ctx, INSN_BUDGET, ctx_ptr)
             total_insns += result.insn_count
-            if result.r0 == RET_DETACH_SELF:
+            r0 = result.r0
+            if detach and r0 == RET_DETACH_SELF:
                 try:
                     self.detach(name, program)
                 except KprobeError:
                     pass  # already detached by a nested fire
+        self._last_r0 = r0
         side, self.side_cost = self.side_cost, 0.0
         return total_insns * INSN_COST_SECONDS + side
 
@@ -148,18 +161,5 @@ class KprobeManager:
         nothing is attached — the caller falls back to its built-in
         policy (kernel LRU for reclaim).
         """
-        hook = self.hook(name)
-        hook.fire_count += 1
-        if not hook.programs:
-            return None, 0.0
-        if len(ctx) != hook.ctx_size:
-            raise KprobeError(
-                f"hook {name!r}: ctx size {len(ctx)} != {hook.ctx_size}")
-        total_insns = 0
-        verdict = 0
-        for program in list(hook.programs):
-            result = self.interpreter.run(program, ctx)
-            total_insns += result.insn_count
-            verdict = result.r0
-        side, self.side_cost = self.side_cost, 0.0
-        return verdict, total_insns * INSN_COST_SECONDS + side
+        seconds = self.fire(name, ctx, detach=False)
+        return self._last_r0, seconds

@@ -144,6 +144,8 @@ class ArrayMap(BpfMap):
         super().__init__(name, key_size=4, value_size=value_size,
                          max_entries=max_entries)
         self._slots = [bytearray(value_size) for _ in range(max_entries)]
+        #: Per-slot memo of :meth:`slot_ref`.
+        self._refs: list[object | None] = [None] * max_entries
 
     def _index(self, key: bytes) -> int | None:
         key = self._check_key(key)
@@ -153,6 +155,21 @@ class ArrayMap(BpfMap):
     def lookup(self, key: bytes) -> bytearray | None:
         index = self._index(key)
         return None if index is None else self._slots[index]
+
+    def slot_ref(self, key: bytes, wrap):
+        """``wrap(self, slot)`` for the slot under ``key``, built on first
+        use and memoised; ``None`` when ``key`` is out of bounds.
+
+        Slots are permanent bytearrays that :meth:`update` overwrites in
+        place, so a memoised wrapper never goes stale (the BPF runtime
+        keeps its map-value pointers here)."""
+        index = self._index(key)
+        if index is None:
+            return None
+        ref = self._refs[index]
+        if ref is None:
+            ref = self._refs[index] = wrap(self, self._slots[index])
+        return ref
 
     def update(self, key: bytes, value: bytes) -> None:
         index = self._index(key)

@@ -23,13 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.guest.kernel import is_mirrored, unmirror_gfn
+from repro.guest.kernel import MIRROR_BIT, unmirror_gfn
 from repro.mm.address_space import AddressSpace
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EptEntry:
+    """One nested-page-table mapping: only its write permission matters.
+
+    Immutable, so every mapping shares :data:`EPT_RO` or :data:`EPT_RW`
+    instead of allocating an entry per fault; an upgrade replaces the
+    dict value, it never edits an entry in place."""
+
     writable: bool
+
+
+EPT_RO = EptEntry(writable=False)
+EPT_RW = EptEntry(writable=True)
 
 
 def _force_write_hash(vm_seed: int, gfn: int) -> int:
@@ -83,18 +93,14 @@ class KVM:
 
     def nested_fault(self, gfn: int, is_write: bool):
         """Generator: handle one EPT violation; returns CPU seconds."""
-        costs = self.kernel.costs
+        if gfn & MIRROR_BIT:
+            return self.mirrored_fault(gfn)
         self.stats_nested_faults += 1
-        cost = costs.ept_fault
+        cost = self.kernel.costs.ept_fault
 
-        if is_mirrored(gfn):
-            if not self.pv_enabled:
-                raise RuntimeError(
-                    "guest used a mirrored gPFN but host PV support is off")
-            cost += self._pv_fault(gfn)
-            return cost
-
-        vpn = self.host_vpn(gfn)
+        if gfn >= self.mem_pages:
+            self.host_vpn(gfn)   # raises the out-of-range error
+        vpn = self.guest_base_vpn + gfn
         effective_write = is_write
         if (not is_write and not self.patched_cow
                 and _force_write_hash(self.vm_seed, gfn)
@@ -104,24 +110,35 @@ class KVM:
             effective_write = True
             self.stats_forced_writes += 1
 
-        cost += yield from self.space.handle_fault(vpn, effective_write)
-        pte = self.space.pte(vpn)
+        space = self.space
+        pt = space.pt
+        cost += yield from space.handle_fault(vpn, effective_write)
+        pte = pt.get(vpn)
         if pte is None:
             # uffd race: handler resolved a different page / VM teardown.
-            cost += yield from self.space.handle_fault(vpn, effective_write)
-            pte = self.space.pte(vpn)
+            cost += yield from space.handle_fault(vpn, effective_write)
+            pte = pt.get(vpn)
             if pte is None:
                 raise RuntimeError(f"host fault did not map vpn {vpn:#x}")
         if is_write and not pte.writable:
-            cost += yield from self.space.handle_fault(vpn, True)
-            pte = self.space.pte(vpn)
+            cost += yield from space.handle_fault(vpn, True)
+            pte = pt.get(vpn)
 
         # Patched KVM: opportunistically write-map read faults only when
         # the host page is already writable; stock KVM write-maps
         # whenever it (forcibly) write-faulted.
-        writable = pte.writable
-        self.ept[gfn] = EptEntry(writable=writable)
+        self.ept[gfn] = EPT_RW if pte.writable else EPT_RO
         return cost
+
+    def mirrored_fault(self, gfn: int) -> float:
+        """EPT violation on a PV-mirrored gPFN (``gfn & MIRROR_BIT``);
+        returns CPU seconds.  Served with fresh anonymous memory and no
+        snapshot I/O, it never waits, so callers need no generator."""
+        self.stats_nested_faults += 1
+        if not self.pv_enabled:
+            raise RuntimeError(
+                "guest used a mirrored gPFN but host PV support is off")
+        return self.kernel.costs.ept_fault + self._pv_fault(gfn)
 
     def _pv_fault(self, gfn: int) -> float:
         """PV PTE marking (§3.2): serve a mirrored-gPFN fault with
@@ -130,7 +147,7 @@ class KVM:
         real = unmirror_gfn(gfn)
         vpn = self.host_vpn(real)
         cost = 0.0
-        pte = self.space.pte(vpn)
+        pte = self.space.pt.get(vpn)
         if pte is None or pte.frame.kind != "anon" or not pte.writable:
             # Replace whatever backs this guest page (possibly a shared
             # snapshot mapping) with fresh anonymous memory -- crucially
@@ -143,6 +160,6 @@ class KVM:
                     self.kernel.frames.free(old.frame)
             cost += self.space.install_anon(vpn, content=0, writable=True)
         # Map the anonymous page under both gPFNs (paper Fig. 2, step 6).
-        self.ept[gfn] = EptEntry(writable=True)
-        self.ept[real] = EptEntry(writable=True)
+        self.ept[gfn] = EPT_RW
+        self.ept[real] = EPT_RW
         return cost

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.guest.kernel import GuestKernel
+from repro.guest.kernel import MIRROR_BIT, GuestKernel
 from repro.kvm.kvm import KVM
 from repro.sim import Environment
 from repro.units import USEC
@@ -76,6 +76,9 @@ class VCpu:
         ept = kvm.ept
         env = self.env
         stats = self.stats
+        # Simulated time moves only across this loop's two suspension
+        # points, so one clock read after each also starts the next stall.
+        now = env.now
         for gfn in gfns:
             acc += per_page
             stats.compute_seconds += per_page
@@ -85,9 +88,14 @@ class VCpu:
             if acc > FLUSH_THRESHOLD:
                 yield env.timeout(acc)
                 acc = 0.0
-            before = env.now
-            cost = yield from kvm.nested_fault(gfn, write)
-            stats.stall_seconds += env.now - before
+                now = env.now
+            if gfn & MIRROR_BIT:
+                cost = kvm.mirrored_fault(gfn)   # never waits: no stall
+            else:
+                cost = yield from kvm.nested_fault(gfn, write)
+                after = env.now
+                stats.stall_seconds += after - now
+                now = after
             acc += cost
             stats.overhead_seconds += cost
         return acc

@@ -93,6 +93,9 @@ class AddressSpace:
         self._vmas: list[VMA] = []       # sorted by start
         self._starts: list[int] = []
         self._next_va = 1 << 20          # bump allocator for mmap placement
+        #: The VMA the last fault resolved to; VMAs never move or shrink,
+        #: so it stays valid until teardown() drops them all.
+        self._last_vma: VMA | None = None
         #: Set by teardown(): late installs from still-running prefetcher
         #: threads become no-ops instead of leaking frames.
         self.dead = False
@@ -148,6 +151,7 @@ class AddressSpace:
             if pte.frame.kind == ANON and pte.frame.mapcount == 0:
                 self.kernel.frames.free(pte.frame)
         self.pt.clear()
+        self._last_vma = None
         self._vmas.clear()
         self._starts.clear()
 
@@ -165,7 +169,8 @@ class AddressSpace:
             raise ValueError(f"{self.owner}: page {vpn:#x} already mapped")
         frame = self.kernel.frames.alloc(ANON, content=content,
                                          owner=self.owner)
-        self._map(vpn, frame, writable=writable, cow=False)
+        frame.mapcount += 1
+        self.pt[vpn] = PTE(frame, writable, False)
         fill = (costs.zero_page if content == 0 else costs.memcpy_page)
         return fill + costs.pte_install
 
@@ -178,7 +183,8 @@ class AddressSpace:
     # -- the fault paths -----------------------------------------------------------
     def handle_fault(self, vpn: int, is_write: bool):
         """Generator: resolve a fault at ``vpn``; returns CPU seconds."""
-        costs = self.kernel.costs
+        kernel = self.kernel
+        costs = kernel.costs
         cost = costs.fault_base
 
         pte = self.pt.get(vpn)
@@ -192,7 +198,9 @@ class AddressSpace:
             self.stats_minor_faults += 1
             return cost
 
-        vma = self.vma_at(vpn)
+        vma = self._last_vma
+        if vma is None or not vma.start <= vpn < vma.start + vma.npages:
+            vma = self._last_vma = self.vma_at(vpn)
         if vma.uffd is not None:
             self.stats_uffd_faults += 1
             cost += costs.uffd_roundtrip
@@ -203,58 +211,60 @@ class AddressSpace:
             # through to a follow-up fault; callers re-drive.
             return cost
 
-        if vma.is_anon:
+        file = vma.file
+        if file is None:
             cost += self.install_anon(vpn, content=0, writable=True)
             self.stats_minor_faults += 1
             return cost
 
-        # File-backed fault through the page cache.
-        entry, filemap_cost, major = yield from self._filemap_fault(vma, vpn)
-        cost += filemap_cost
-        if major:
-            self.stats_major_faults += 1
-        else:
-            self.stats_minor_faults += 1
-        if is_write and vma.private:
-            # Write to a private file mapping: CoW immediately at fault.
-            frame = self.kernel.frames.alloc(ANON, content=entry.frame.content,
-                                             owner=self.owner)
-            self._map(vpn, frame, writable=True, cow=False)
-            cost += costs.memcpy_page + costs.pte_install
-        else:
-            self._map(vpn, entry.frame, writable=not vma.private, cow=vma.private)
-            cost += costs.pte_install
-        return cost
-
-    def _filemap_fault(self, vma: VMA, vpn: int):
-        """Generator: page-cache side of a file fault.
-
-        Returns (entry, cost, was_major).  Implements sync readahead on
-        miss, async readahead on PG_readahead marker hit, and waiting on
-        pages locked under somebody else's I/O.
-        """
-        cache = self.kernel.page_cache
-        costs = self.kernel.costs
-        file = vma.file
-        index = vma.file_index(vpn)
-        cost = costs.cache_lookup
-
+        # File-backed fault through the page cache.  A hit on an uptodate
+        # page never waits, so it is resolved here without a generator.
+        cache = kernel.page_cache
+        index = vma.pgoff + (vpn - vma.start)
         entry = cache.lookup(file.ino, index)
         if entry is not None and entry.uptodate:
             vma.ra.on_cache_hit(index)
+            filemap_cost = costs.cache_lookup
             if entry.ra_marker:
+                # PG_readahead marker hit: start the next async window.
                 entry.ra_marker = False
                 plan = vma.ra.on_marker_hit(index, file.size_pages)
                 ra_cost, _ = cache.populate(file, plan.start, plan.count,
                                             marker=plan.marker,
                                             prio=PRIO_READAHEAD)
-                cost += ra_cost
-            return entry, cost, False
+                filemap_cost += ra_cost
+            cost += filemap_cost
+            self.stats_minor_faults += 1
+        else:
+            entry, filemap_cost = yield from self._filemap_fault(
+                vma, file, index, entry)
+            cost += filemap_cost
+            self.stats_major_faults += 1
+        if is_write and vma.private:
+            # Write to a private file mapping: CoW immediately at fault.
+            frame = kernel.frames.alloc(ANON, content=entry.frame.content,
+                                        owner=self.owner)
+            self._map(vpn, frame, True, False)
+            cost += costs.memcpy_page + costs.pte_install
+        else:
+            self._map(vpn, entry.frame, not vma.private, vma.private)
+            cost += costs.pte_install
+        return cost
 
+    def _filemap_fault(self, vma: VMA, file: File, index: int, entry):
+        """Generator: page-cache side of a major file fault.
+
+        ``entry`` is what the caller's lookup found: ``None`` (miss) or
+        a page locked under somebody else's I/O.  Returns (entry, cost).
+        Implements sync readahead on a miss, and waiting on pages locked
+        under I/O.
+        """
+        cache = self.kernel.page_cache
+        cost = self.kernel.costs.cache_lookup
         if entry is not None:
             # Locked under I/O issued by another faulter/prefetcher.
             yield entry.io_event
-            return entry, cost, True
+            return entry, cost
 
         plan = vma.ra.on_cache_miss(index, file.size_pages)
         populate_cost, _ = cache.populate(file, plan.start, plan.count,
@@ -265,7 +275,7 @@ class AddressSpace:
             raise RuntimeError("faulting page vanished after populate")
         if not entry.uptodate:
             yield entry.io_event
-        return entry, cost, True
+        return entry, cost
 
     # -- internals --------------------------------------------------------------------
     def _map(self, vpn: int, frame: Frame, writable: bool, cow: bool) -> None:
@@ -275,7 +285,7 @@ class AddressSpace:
             if existing.frame.kind == ANON and existing.frame.mapcount == 0:
                 self.kernel.frames.free(existing.frame)
         frame.mapcount += 1
-        self.pt[vpn] = PTE(frame=frame, writable=writable, cow=cow)
+        self.pt[vpn] = PTE(frame, writable, cow)
 
     def _cow(self, vpn: int, pte: PTE) -> float:
         """Copy-on-write: replace a shared file frame with a private copy."""
@@ -284,7 +294,7 @@ class AddressSpace:
                                          owner=self.owner)
         pte.frame.mapcount -= 1
         frame.mapcount += 1
-        self.pt[vpn] = PTE(frame=frame, writable=True, cow=False)
+        self.pt[vpn] = PTE(frame, True, False)
         self.stats_cow_faults += 1
         return costs.memcpy_page + costs.pte_install
 

@@ -90,22 +90,30 @@ class FrameAllocator:
               index: int | None = None, owner: str | None = None) -> Frame:
         if kind not in (ANON, FILE):
             raise ValueError(f"unknown frame kind {kind!r}")
-        if self.reclaimer is not None:
-            self.reclaimer.throttle_alloc()
-        if self.free_frames <= 0:
+        # Free frames are derived once here and handed to the reclaim
+        # hooks: this runs for every page the simulation touches.
+        counters = self.counters
+        free = self.total_frames - counters.anon - counters.file
+        reclaimer = self.reclaimer
+        if reclaimer is not None:
+            free = reclaimer.throttle_alloc(free)
+        if free <= 0:
             raise OutOfMemory(
                 f"no free frames ({self.total_frames} total in use)")
-        frame = Frame(pfn=next(self._next_pfn), kind=kind, content=content,
-                      ino=ino, index=index, owner=owner)
+        frame = Frame(next(self._next_pfn), kind, content, ino, index, 0,
+                      owner)
         if kind == ANON:
-            self.counters.anon += 1
+            counters.anon += 1
             if owner is not None:
                 self._per_owner[owner] = self._per_owner.get(owner, 0) + 1
         else:
-            self.counters.file += 1
-        self.peak_frames = max(self.peak_frames, self.in_use)
-        if self.reclaimer is not None:
-            self.reclaimer.note_allocation()
+            counters.file += 1
+        free -= 1
+        in_use = self.total_frames - free
+        if in_use > self.peak_frames:
+            self.peak_frames = in_use
+        if reclaimer is not None:
+            reclaimer.note_allocation(free)
         return frame
 
     def free(self, frame: Frame) -> None:

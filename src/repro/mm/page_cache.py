@@ -161,9 +161,10 @@ class PageCache:
 
     # -- lookup ---------------------------------------------------------------
     def lookup(self, ino: int, index: int) -> CacheEntry | None:
-        entry = self._entries.get((ino, index))
+        key = (ino, index)
+        entry = self._entries.get(key)
         if entry is not None:
-            self.reclaim.page_touched((ino, index))
+            self.reclaim.page_touched(key, entry)
         return entry
 
     def resident(self, ino: int, index: int) -> bool:

@@ -114,12 +114,18 @@ class LruLists:
         within active), ``"referenced"`` (first touch on inactive),
         ``"promoted"`` (second touch; moved to active), or ``None``."""
         entry = self.active.get(key)
-        if entry is not None:
+        if entry is None:
+            entry = self.inactive.get(key)
+            if entry is None:
+                return None
+        return self.touch_entry(key, entry)
+
+    def touch_entry(self, key, entry) -> str:
+        """:meth:`touch` for a page known to be on a list: its ``active``
+        flag, kept in step by every move here, says which one."""
+        if entry.active:
             self.active.move_to_end(key)
             return "active"
-        entry = self.inactive.get(key)
-        if entry is None:
-            return None
         if entry.referenced:
             del self.inactive[key]
             entry.referenced = False
@@ -279,8 +285,8 @@ class ReclaimController:
     def page_added(self, key, entry) -> None:
         self.lru.insert(key, entry)
 
-    def page_touched(self, key) -> None:
-        if self.lru.touch(key) == "promoted":
+    def page_touched(self, key, entry) -> None:
+        if self.lru.touch_entry(key, entry) == "promoted":
             self.stats._promotions.inc()
 
     def page_removed(self, key) -> None:
@@ -295,32 +301,36 @@ class ReclaimController:
         self.stats._hints.inc()
 
     # -- allocator integration ------------------------------------------------
-    def throttle_alloc(self) -> None:
-        """Called by the frame allocator before every allocation.
+    def throttle_alloc(self, free: int) -> int:
+        """Called by the frame allocator before every allocation, with
+        the pool's free frames; returns them after any reclaim.
 
         Below the min watermark (or on plain exhaustion with watermarks
         off) the allocating path does synchronous direct reclaim.  An
         :class:`OutOfMemory` from reclaim is fatal only if no frame is
         actually available."""
-        free = self.frames.free_frames
         wm = self.watermarks
         if wm is not None:
-            if free <= wm.min_frames:
-                try:
-                    self.direct_reclaim(wm.low_frames - free + 1)
-                except OutOfMemory:
-                    if self.frames.free_frames <= 0:
-                        raise
-        elif free <= 0:
+            if free > wm.min_frames:
+                return free
+            try:
+                self.direct_reclaim(wm.low_frames - free + 1)
+            except OutOfMemory:
+                if self.frames.free_frames <= 0:
+                    raise
+        elif free > 0:
+            return free
+        else:
             self.direct_reclaim(1)
+        return self.frames.free_frames
 
-    def note_allocation(self) -> None:
-        """Called by the frame allocator after every allocation: wake
-        kswapd once free frames sink below the low watermark."""
+    def note_allocation(self, free: int) -> None:
+        """Called by the frame allocator after every allocation, with
+        the free frames left: wake kswapd once they sink below the low
+        watermark."""
         wm = self.watermarks
-        if (wm is not None and self._wake is not None
-                and not self._wake.triggered
-                and self.frames.free_frames < wm.low_frames):
+        if (wm is not None and free < wm.low_frames
+                and self._wake is not None and not self._wake.triggered):
             self._wake.succeed()
 
     # -- watermarks / kswapd --------------------------------------------------

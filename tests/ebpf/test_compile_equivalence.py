@@ -11,7 +11,9 @@ sequence and compares everything observable.
 
 Two real programs (capture and prefetch-guard) ride along as
 deterministic cases covering the ring-buffer write path and the
-array-map state machine the random space reaches only occasionally.
+array-map state machine the random space reaches only occasionally,
+both alone and attached together to a kprobe whose kfunc re-fires the
+hook (the shared per-fire ctx pointer, nested fires, self-detach).
 """
 
 import random
@@ -24,9 +26,29 @@ from repro.core.progs import (
     make_groups_map,
     make_state_map,
 )
-from repro.ebpf.asm import Program, assemble
+from repro.ebpf.asm import (
+    Label,
+    Program,
+    alui,
+    assemble,
+    call,
+    exit_,
+    jcond,
+    ldmap,
+    load,
+    mov,
+    movi,
+    store,
+    storei,
+)
+from repro.ebpf.helpers import BPF_FUNC_MAP_LOOKUP_ELEM
 from repro.ebpf.insn import (
     ALU_OPS,
+    R0,
+    R1,
+    R2,
+    R6,
+    R10,
     Alu,
     Call,
     Exit,
@@ -37,6 +59,8 @@ from repro.ebpf.insn import (
     Store,
 )
 from repro.ebpf.interp import Interpreter, RuntimeFault, pack_u64
+from repro.ebpf.kfunc import KfuncRegistry
+from repro.ebpf.kprobe import KprobeManager
 from repro.ebpf.maps import ArrayMap, HashMap, RingBufMap
 from repro.ebpf.verifier import VerificationError, Verifier
 
@@ -170,7 +194,6 @@ def test_capture_program_equivalent_across_tiers():
 def test_prefetch_program_equivalent_across_tiers():
     """Array-map walk + kfunc calls + done-flag state machine."""
     from repro.core.kfuncs import SNAPBPF_PREFETCH
-    from repro.ebpf.kfunc import KfuncRegistry
 
     ino = 777
 
@@ -193,3 +216,100 @@ def test_prefetch_program_equivalent_across_tiers():
         return outcomes, calls, _map_state(state)
 
     assert run_tier(True) == run_tier(False)
+
+
+def test_kprobe_fire_with_nested_fires_equivalent_across_tiers():
+    """Capture + prefetch attached to one hook, fired through
+    KprobeManager: the prefetch kfunc re-fires the hook for every page
+    it "inserts", so nested fires, the done flag and RET_DETACH_SELF all
+    run on the shared per-fire ctx pointer."""
+    from repro.core.kfuncs import SNAPBPF_PREFETCH
+
+    ino = 31
+    hook = "add_to_page_cache_lru"
+
+    def run_tier(use_compiled):
+        kfuncs = KfuncRegistry()
+        interp = Interpreter(kfuncs=kfuncs,
+                             time_ns=iter(range(0, 1 << 20, 3)).__next__)
+        interp.use_compiled = use_compiled
+        kprobes = KprobeManager(kfuncs=kfuncs, interpreter=interp)
+        kprobes.declare_hook(hook, CTX_SIZE)
+        calls = []
+
+        def prefetch(ino_, start, count):
+            calls.append((ino_, start, count))
+            seconds = 0.0
+            for page in range(start, start + count):
+                seconds += kprobes.fire(hook, pack_u64(ino_, page))
+            kprobes.side_cost += seconds
+            return count
+
+        kfuncs.register(SNAPBPF_PREFETCH, prefetch, n_args=3)
+        events = make_events_ringbuf("ev", max_entries=16)
+        groups = make_groups_map("groups", n_groups=3)
+        for index, (start, count) in enumerate(((40, 3), (7, 20), (90, 1))):
+            groups.update_u64s(index, start, count)
+        state = make_state_map("state")
+        capture = build_capture_program(ino, events)
+        prefetch_prog = build_prefetch_program(ino, groups, state)
+        kprobes.attach(hook, capture)
+        kprobes.attach(hook, prefetch_prog)
+        seconds = []
+        attached = []
+        for ctx_ino, index in ((ino + 1, 0), (ino, 3), (ino, 4),
+                               (ino + 1, 5), (ino, 8)):
+            seconds.append(kprobes.fire(hook, pack_u64(ctx_ino, index)))
+            attached.append([p.name for p in kprobes.attached(hook)])
+        return (seconds, attached, calls, _map_state(state),
+                _map_state(groups), events.consume(), events.dropped,
+                kprobes.hook(hook).fire_count)
+
+    compiled = run_tier(True)
+    assert compiled == run_tier(False)
+    seconds, attached, calls, _state, _groups, records, dropped, fires = \
+        compiled
+    assert attached[0] == ["snapbpf_capture", "snapbpf_prefetch_prog"]
+    assert attached[1:] == [["snapbpf_capture"]] * 4   # self-detached
+    assert [c[1:] for c in calls] == [(40, 3), (7, 20), (90, 1)]
+    assert fires == 5 + 24                  # outer fires + nested ones
+    # 3 outer + 24 nested snapshot-inode inserts into a 16-record ring.
+    assert (len(records), dropped) == (16, 11)
+    assert all(s > 0 for s in seconds)
+
+
+def test_array_map_update_between_runs_seen_by_both_tiers():
+    """Userspace update() of an array slot between runs: the program
+    must read the new bytes, and its own in-place writes must reach
+    userspace (the compiled tier keeps one value pointer per slot)."""
+    source = [
+        storei(R10, -4, 0, width=4),
+        ldmap(R1, "a"),
+        mov(R2, R10), alui("add", R2, -4),
+        call(BPF_FUNC_MAP_LOOKUP_ELEM),
+        jcond("jeq", R0, "miss", imm=0),
+        load(R6, R0, 0),                 # hits counter, bumped in place
+        alui("add", R6, 1),
+        store(R0, 0, R6),
+        load(R0, R0, 8),                 # the userspace-written word
+        exit_(),
+        Label("miss"),
+        movi(R0, 0),
+        exit_(),
+    ]
+
+    def run_tier(use_compiled):
+        interp = Interpreter()
+        interp.use_compiled = use_compiled
+        array = ArrayMap("a", value_size=16, max_entries=2)
+        program = assemble("reader", source, maps={"a": array})
+        Verifier(ctx_size=CTX_SIZE).verify(program)
+        seen = []
+        for value in (5, 6, 1 << 40):
+            array.update_u64s(0, array.lookup_u64s(0)[0], value)
+            seen.append(interp.run(program, pack_u64(0, 0)).r0)
+        return seen, array.lookup_u64s(0)
+
+    compiled = run_tier(True)
+    assert compiled == run_tier(False)
+    assert compiled == ([5, 6, 1 << 40], (3, 1 << 40))

@@ -1,9 +1,11 @@
 """KVM nested paging: EPT, PV mirror faults, the CoW write-mapping bug."""
 
+import dataclasses
+
 import pytest
 
 from repro.guest.kernel import mirror_gfn
-from repro.kvm.kvm import KVM
+from repro.kvm.kvm import EPT_RO, EPT_RW, KVM
 from repro.units import MIB
 from tests.conftest import drive
 
@@ -50,6 +52,17 @@ class TestEpt:
         pte = kvm.space.pte(kvm.host_vpn(10))
         assert pte.frame.kind == "anon"
         assert pte.frame.content == file.content(10)
+
+    def test_ept_entries_are_shared_and_immutable(self, kernel, file):
+        kvm = make_kvm(kernel, file)
+        access(kernel, kvm, 10)
+        access(kernel, kvm, 11)
+        access(kernel, kvm, 12, write=True)
+        assert kvm.ept[10] is kvm.ept[11] is EPT_RO
+        assert kvm.ept[12] is EPT_RW
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kvm.ept[10].writable = True
+        assert not EPT_RO.writable and EPT_RW.writable
 
     def test_gfn_out_of_range(self, kernel, file):
         kvm = make_kvm(kernel, file)
